@@ -65,9 +65,11 @@ bench-gate:
 	cp BENCH_tier1.json bin/bench_baseline.json
 	$(GO) test -run=NONE -bench=. -benchmem ./... | $(GO) run ./cmd/benchjson -o BENCH_tier1.json -compare bin/bench_baseline.json
 
-# Regenerate the paper's figures and tables (see EXPERIMENTS.md).
+# Regenerate the paper's figures and tables (see EXPERIMENTS.md). The
+# output is deterministic except for the "(wall time ...)" lines: compare
+# two runs after dropping those, e.g. `make experiments | grep -v 'wall time'`.
 experiments:
-	$(GO) run ./cmd/simulate -all
+	$(GO) run ./cmd/simulate -run all
 
 clean:
 	$(GO) clean ./...

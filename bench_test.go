@@ -180,6 +180,42 @@ func BenchmarkSchedulerEvents(b *testing.B) {
 	s.Run()
 }
 
+// BenchmarkSchedulerRearm measures the scheduler under the lease
+// protocol's timer pattern with a real population: 10k clients, each
+// holding a far-off retry timer. Every tick Stops its client's retry
+// timer and arms a fresh one 2s out — what each reply does to a
+// request's retry and to the lease-phase timer — so about 20k events
+// (10k retries, 10k next ticks) stay live while almost no retry fires.
+// One op is one tick.
+func BenchmarkSchedulerRearm(b *testing.B) {
+	const clients = 10000
+	const retry = 2 * time.Second
+	s := sim.NewScheduler(1)
+	gap := func() sim.Duration {
+		return 50*time.Millisecond + sim.Duration(s.Rand().Int63n(int64(100*time.Millisecond)))
+	}
+	retries := make([]*sim.Event, clients)
+	ticks := make([]func(), clients)
+	n := 0
+	for c := range ticks {
+		ticks[c] = func() {
+			retries[c].Stop()
+			retries[c] = s.After(retry, func() {})
+			if n++; n >= b.N {
+				s.Stop()
+				return
+			}
+			s.After(gap(), ticks[c])
+		}
+	}
+	for c := range ticks {
+		retries[c] = s.After(retry, func() {})
+		s.After(gap(), ticks[c])
+	}
+	b.ResetTimer()
+	s.Run()
+}
+
 // BenchmarkReplyCache measures at-most-once admission on the request
 // fast path.
 func BenchmarkReplyCache(b *testing.B) {

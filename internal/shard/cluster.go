@@ -93,6 +93,33 @@ func ReplicaID(i, j int) msg.NodeID { return ServerID(i) + msg.NodeID(1000*j) }
 // ClientID returns the node ID of client index i.
 func ClientID(i int) msg.NodeID { return msg.NodeID(10 + i) }
 
+// checkNodeIDs panics if two nodes of the installation would share a
+// node ID. The ID bands above overlap once the counts outgrow them —
+// 10 shards put ServerID(9) on ClientID(0), and replicated shards with
+// more than 991 clients put ReplicaID(0, 1) on ClientID(991) — and a
+// shared address would misroute traffic into a hang, not an error.
+func checkNodeIDs(opts Options) {
+	owner := make(map[msg.NodeID]string)
+	claim := func(id msg.NodeID, role string) {
+		if prev, ok := owner[id]; ok {
+			panic(fmt.Sprintf("shard: %s and %s would share node ID %d", prev, role, id))
+		}
+		owner[id] = role
+	}
+	for si := 0; si < opts.Shards; si++ {
+		claim(ServerID(si), fmt.Sprintf("server %d", si))
+		for j := 1; j < opts.Replicas; j++ {
+			claim(ReplicaID(si, j), fmt.Sprintf("replica %d of shard %d", j, si))
+		}
+	}
+	for ci := 0; ci < opts.Clients; ci++ {
+		claim(ClientID(ci), fmt.Sprintf("client %d", ci))
+	}
+	for d := 0; d < opts.Shards*opts.DisksPerServer; d++ {
+		claim(diskBase+msg.NodeID(d), fmt.Sprintf("disk %d", d))
+	}
+}
+
 // Shard is one lease authority and its private resources.
 type Shard struct {
 	ID     msg.NodeID
@@ -146,6 +173,7 @@ func New(opts Options) *Cluster {
 	if opts.Shards < 1 || opts.Clients < 1 {
 		panic("shard: need at least one shard and one client")
 	}
+	checkNodeIDs(opts)
 	if opts.Placement == nil {
 		opts.Placement = Hash{N: opts.Shards}
 	}

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
@@ -102,6 +103,38 @@ func TestUnroutablePath(t *testing.T) {
 // failure between a client and ONE authority invalidates exactly the
 // locks and cache held with that authority; the client's leases with
 // other shards — and its service on them — continue untouched.
+// TestNodeIDCollisionRejected: an installation whose node-ID bands
+// overlap is refused by New, naming both roles, rather than hanging in
+// registration a simulated minute later; the largest installations
+// that fit still build.
+func TestNodeIDCollisionRejected(t *testing.T) {
+	for _, tc := range []struct {
+		shards, replicas, clients int
+		want                      string // "" = must build
+	}{
+		{10, 0, 2, "shard: server 9 and client 0 would share node ID 10"},
+		{1, 2, 992, "shard: replica 1 of shard 0 and client 991 would share node ID 1001"},
+		{9, 0, 2, ""},
+		{1, 2, 991, ""},
+	} {
+		opts := DefaultOptions()
+		opts.Shards, opts.Replicas, opts.Clients = tc.shards, tc.replicas, tc.clients
+		func() {
+			defer func() {
+				got := ""
+				if r := recover(); r != nil {
+					got = fmt.Sprint(r)
+				}
+				if got != tc.want {
+					t.Errorf("New(shards %d, replicas %d, clients %d) panicked %q, want %q",
+						tc.shards, tc.replicas, tc.clients, got, tc.want)
+				}
+			}()
+			New(opts)
+		}()
+	}
+}
+
 func TestPerPairLeaseIndependence(t *testing.T) {
 	opts := subtreeOptions()
 	inst := New(opts)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -53,6 +54,138 @@ func TestSchedulerCancel(t *testing.T) {
 	s.Run()
 	if fired {
 		t.Fatal("cancelled event fired")
+	}
+}
+
+func TestSchedulerPendingDropsOnStop(t *testing.T) {
+	s := NewScheduler(1)
+	a := s.After(time.Second, func() {})
+	s.After(2*time.Second, func() {})
+	if got := s.Pending(); got != 2 {
+		t.Fatalf("Pending = %d with two events queued, want 2", got)
+	}
+	a.Stop()
+	if got := s.Pending(); got != 1 {
+		t.Fatalf("Pending = %d after Stop, want 1: a stopped event is not live", got)
+	}
+	s.Run()
+	if got := s.Pending(); got != 0 {
+		t.Fatalf("Pending = %d after Run, want 0", got)
+	}
+}
+
+// TestSchedulerModel drives the scheduler with thousands of events on
+// a few repeated instants, some scheduled from callbacks, and random
+// Stops from outside and inside callbacks, against a model: every Stop
+// returns true exactly when its event was live, Pending counts the live
+// events, and the firing order equals a stable sort of the fired events
+// by time over their scheduling order — that is, (at, seq).
+func TestSchedulerModel(t *testing.T) {
+	const initial, total = 2000, 5000
+	type rec struct {
+		e              *Event
+		at             Time
+		fired, stopped bool
+	}
+	for seed := int64(1); seed <= 10; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := NewScheduler(seed)
+		var all []*rec
+		var order []int
+		live := 0
+		// Which kinds of Stop the run exercised: of a live event, a
+		// repeated Stop, a Stop after firing, and a live Stop issued
+		// from inside a callback.
+		var stopLive, stopAgain, stopFired, stopLiveInCallback int
+		inCallback := false
+		stop := func(i int) {
+			r := all[i]
+			want := !r.fired && !r.stopped
+			switch {
+			case want && inCallback:
+				stopLiveInCallback++
+				stopLive++
+			case want:
+				stopLive++
+			case r.stopped:
+				stopAgain++
+			default:
+				stopFired++
+			}
+			if got := r.e.Stop(); got != want {
+				t.Fatalf("seed %d: Stop of event %d (fired %v, stopped %v) = %v, want %v",
+					seed, i, r.fired, r.stopped, got, want)
+			}
+			if want {
+				r.stopped = true
+				live--
+			}
+			if s.Pending() != live {
+				t.Fatalf("seed %d: Pending = %d after Stop, model has %d live", seed, s.Pending(), live)
+			}
+		}
+		var schedule func(at Time)
+		schedule = func(at Time) {
+			i := len(all)
+			r := &rec{at: at}
+			all = append(all, r)
+			live++
+			r.e = s.At(at, func() {
+				if r.fired || r.stopped {
+					t.Fatalf("seed %d: event %d fired twice or after Stop", seed, i)
+				}
+				r.fired = true
+				live--
+				order = append(order, i)
+				if s.Now() != r.at {
+					t.Fatalf("seed %d: event %d for %v fired at %v", seed, i, r.at, s.Now())
+				}
+				if s.Pending() != live {
+					t.Fatalf("seed %d: Pending = %d in callback, model has %d live", seed, s.Pending(), live)
+				}
+				inCallback = true
+				stop(i) // its own handle, from inside the callback
+				if len(all) < total && rng.Intn(3) > 0 {
+					schedule(s.Now() + Time(rng.Intn(4)))
+				}
+				for rng.Intn(3) == 0 {
+					stop(rng.Intn(len(all)))
+				}
+				inCallback = false
+			})
+		}
+		for len(all) < initial {
+			schedule(Time(rng.Intn(200)))
+			if rng.Intn(4) == 0 {
+				stop(rng.Intn(len(all)))
+			}
+		}
+		s.Run()
+		for i := range all {
+			stop(i) // every event has fired or been stopped: all false
+		}
+		if live != 0 || s.Pending() != 0 {
+			t.Fatalf("seed %d: %d live in model, Pending = %d after Run", seed, live, s.Pending())
+		}
+		if stopLive == 0 || stopAgain == 0 || stopFired == 0 || stopLiveInCallback == 0 {
+			t.Fatalf("seed %d: Stop kinds not all exercised: live %d, again %d, fired %d, live in callback %d",
+				seed, stopLive, stopAgain, stopFired, stopLiveInCallback)
+		}
+		var want []int
+		for i, r := range all {
+			if r.fired {
+				want = append(want, i)
+			}
+		}
+		sort.SliceStable(want, func(a, b int) bool { return all[want[a]].at < all[want[b]].at })
+		if len(order) != len(want) {
+			t.Fatalf("seed %d: %d events fired, model expects %d", seed, len(order), len(want))
+		}
+		for k := range want {
+			if order[k] != want[k] {
+				t.Fatalf("seed %d: firing %d was event %d, reference order has %d", seed, k, order[k], want[k])
+			}
+		}
 	}
 }
 
